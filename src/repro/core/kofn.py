@@ -93,6 +93,18 @@ def a_m_of_n_array(m: int, n: int, alpha: np.ndarray | float) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     if np.any((a < 0.0) | (a > 1.0)) or np.any(np.isnan(a)):
         raise ParameterError("alpha values must be in [0, 1]")
+    return _a_m_of_n_unchecked(m, n, a)
+
+
+def _a_m_of_n_unchecked(
+    m: int, n: int, alpha: np.ndarray | float
+) -> np.ndarray:
+    """:func:`a_m_of_n_array` without its checks: ``n >= 0``, alpha in [0, 1].
+
+    For kernels that validate their inputs once per call
+    (:mod:`repro.perf.vectorized`) rather than once per block.
+    """
+    a = np.asarray(alpha, dtype=float)
     if m <= 0:
         return np.ones_like(a)
     if m > n:
@@ -139,6 +151,14 @@ def binomial_pmf_array(k: int, n: int, p: np.ndarray | float) -> np.ndarray:
         return np.zeros_like(q)
     if np.any((q < 0.0) | (q > 1.0)) or np.any(np.isnan(q)):
         raise ParameterError("p values must be in [0, 1]")
+    return _binomial_pmf_unchecked(k, n, q)
+
+
+def _binomial_pmf_unchecked(
+    k: int, n: int, p: np.ndarray | float
+) -> np.ndarray:
+    """:func:`binomial_pmf_array` without its checks: ``0 <= k <= n``, p in [0, 1]."""
+    q = np.asarray(p, dtype=float)
     return math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
 
 

@@ -28,11 +28,12 @@ from typing import Callable, Sequence
 
 from repro.controller.role import RoleSpec
 from repro.controller.spec import ControllerSpec, Plane
-from repro.core.kofn import a_m_of_n, binomial_pmf
+from repro.core.kofn import binomial_pmf
 from repro.errors import ModelError
 from repro.models.engine import (
     RoleRequirement,
     UnitRequirement,
+    _conditional_role_term,
     evaluate_topology,
 )
 from repro.params.hardware import HardwareParams
@@ -67,52 +68,57 @@ def _role_platform_extra(
 
 
 def _role_term(
-    units: Sequence[UnitRequirement], candidates: int, rho: float
+    term: Callable[[int], float], candidates: int, rho: float
 ) -> float:
     """Eq. (12)-(14) for one role.
 
     ``candidates`` platforms each survive independently with probability
-    ``rho``; given ``g`` survivors the role's availability is the product of
-    its units' ``A_{m/g}(alpha)`` (Eq. 13).  ``rho = 1`` collapses to the
-    unconditioned Eq. (10) product.
+    ``rho``; given ``g`` survivors the role's availability is ``term(g)``,
+    the product of its units' ``A_{m/g}(alpha)`` (Eq. 13).  ``rho = 1``
+    collapses to the unconditioned Eq. (10) product.
     """
-    if not units:
-        return 1.0
     if rho == 1.0:
-        value = 1.0
-        for unit in units:
-            value *= a_m_of_n(unit.quorum, candidates, unit.alpha)
-        return value
+        return term(candidates)
     total = 0.0
     for g in range(candidates + 1):
         weight = binomial_pmf(g, candidates, rho)
         if weight == 0.0:
             continue
-        value = 1.0
-        for unit in units:
-            value *= a_m_of_n(unit.quorum, g, unit.alpha)
-            if value == 0.0:
-                break
-        total += weight * value
+        total += weight * term(g)
     return total
 
 
-def _roles_product(
+def _plane_roles(
     spec: ControllerSpec,
     plane: Plane,
     software: SoftwareParams,
     scenario: RestartScenario,
+) -> list[tuple[Callable[[int], float], float]]:
+    """Each required role's ``term(g)`` and per-platform extra factor.
+
+    Resolved once per plane evaluation: the quorum units, and the product
+    of their blocks for each survivor count ``g`` (memoized, as the exact
+    engine does), are shared by every conditioning count.
+    """
+    return [
+        (
+            _conditional_role_term(requirement.units),
+            requirement.extra_instance_availability,
+        )
+        for requirement in plane_requirements(spec, plane, software, scenario)
+    ]
+
+
+def _roles_product(
+    roles: Sequence[tuple[Callable[[int], float], float]],
     candidates: int,
     rho_base: float,
 ) -> float:
-    """Product over cluster roles of their conditional availabilities."""
+    """Product over cluster roles (:func:`_plane_roles`) of their terms."""
     value = 1.0
-    for role in spec.cluster_roles:
-        units = _role_units(role, plane, software)
-        if not units:
-            continue
-        rho = rho_base * _role_platform_extra(role, software, scenario)
-        value *= _role_term(units, candidates, rho)
+    for term, extra in roles:
+        rho = rho_base * extra
+        value *= _role_term(term, candidates, rho)
         if value == 0.0:
             return 0.0
     return value
@@ -143,7 +149,8 @@ def _small(
     scenario: RestartScenario,
 ) -> float:
     """Options 1S/2S — Eqs. (9)-(14): condition on {VM+host} blocks."""
-    if not _plane_required(spec, plane):
+    roles = _plane_roles(spec, plane, software, scenario)
+    if not roles:
         return 1.0
     n = spec.cluster_size
     block = hardware.vm_host_block
@@ -151,9 +158,7 @@ def _small(
     for x in range(n + 1):
         weight = binomial_pmf(x, n, block)
         if weight > 0.0:
-            total += weight * _roles_product(
-                spec, plane, software, scenario, x, 1.0
-            )
+            total += weight * _roles_product(roles, x, 1.0)
     return total * hardware.a_rack
 
 
@@ -169,7 +174,8 @@ def _medium(
     Role VMs are private per node-role, so the per-platform survival
     probability is ``A_V`` (times ``A_S`` in scenario 2).
     """
-    if not _plane_required(spec, plane):
+    roles = _plane_roles(spec, plane, software, scenario)
+    if not roles:
         return 1.0
     n = spec.cluster_size
     if n < 2:
@@ -179,7 +185,7 @@ def _medium(
     def hosts_term(k: int) -> float:
         return sum(
             binomial_pmf(x, k, a_h)
-            * _roles_product(spec, plane, software, scenario, x, hardware.a_vm)
+            * _roles_product(roles, x, hardware.a_vm)
             for x in range(k + 1)
         )
 
@@ -203,15 +209,14 @@ def _large(
     survival probability is ``A_V A_H`` (times ``A_S`` in scenario 2 —
     the paper's ``rho = A_S A_V A_H``).
     """
+    roles = _plane_roles(spec, plane, software, scenario)
     n = spec.cluster_size
     rho_base = hardware.vm_host_block
     total = 0.0
     for r in range(n + 1):
         weight = binomial_pmf(r, n, hardware.a_rack)
         if weight > 0.0:
-            total += weight * _roles_product(
-                spec, plane, software, scenario, r, rho_base
-            )
+            total += weight * _roles_product(roles, r, rho_base)
     return total
 
 

@@ -41,7 +41,12 @@ from repro.analysis.sweep import SweepResult, grid
 from repro.controller.process import RestartMode
 from repro.controller.role import RoleSpec
 from repro.controller.spec import ControllerSpec, Plane
-from repro.core.kofn import a_m_of_n_array, binomial_pmf_array
+from repro.core.kofn import (
+    _a_m_of_n_unchecked,
+    _binomial_pmf_unchecked,
+    a_m_of_n_array,
+    binomial_pmf_array,
+)
 from repro.errors import ModelError, ParameterError
 from repro.models.hw_closed import PAPER_ROLE_QUORUMS
 from repro.models.sw import _plane_required
@@ -146,20 +151,44 @@ def gather_segment_products(
 
 # -- HW-centric closed forms over arrays (section V) ---------------------------
 
-
-def _conditional_array(
-    x: int, alpha: np.ndarray, quorums: Sequence[int]
-) -> np.ndarray:
-    """Vectorized ``(A | x blocks up)`` — product of ``A_{m/x}(alpha)``."""
-    value = np.ones_like(alpha)
-    for m in quorums:
-        value = value * a_m_of_n_array(m, x, alpha)
-    return value
+_HW_INPUTS = ("a_role", "a_vm", "a_host", "a_rack")
 
 
 def _broadcast(*values: np.ndarray | float) -> tuple[np.ndarray, ...]:
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
     return tuple(arrays)
+
+
+def _checked_hw_inputs(
+    *values: np.ndarray | float,
+) -> tuple[np.ndarray, ...]:
+    """The four hardware availabilities broadcast, each checked in [0, 1].
+
+    Every quantity the kernels derive from them — products such as
+    ``A_V A_H`` — stays in [0, 1] too, so the k-of-n blocks and binomial
+    weights below skip the per-call checks of their public counterparts.
+    """
+    arrays = _broadcast(*values)
+    for name, array in zip(_HW_INPUTS, arrays):
+        if not np.all((array >= 0.0) & (array <= 1.0)):  # NaN fails too
+            raise ParameterError(f"{name} values must be in [0, 1]")
+    return arrays
+
+
+def _conditional_array(
+    x: int, alpha: np.ndarray, quorums: Sequence[int]
+) -> np.ndarray:
+    """Vectorized ``(A | x blocks up)`` — product of ``A_{m/x}(alpha)``.
+
+    Each distinct quorum's block is computed once and the product runs over
+    ``quorums`` in order, so the value is the same float as one block
+    computed per entry.
+    """
+    blocks = {m: _a_m_of_n_unchecked(m, x, alpha) for m in set(quorums)}
+    value = np.ones_like(alpha)
+    for m in quorums:
+        value = value * blocks[m]
+    return value
 
 
 def hw_small_array(
@@ -171,13 +200,14 @@ def hw_small_array(
     n: int = 3,
 ) -> np.ndarray:
     """Vectorized :func:`repro.models.hw_closed.hw_small` (Eqs. 2-3)."""
-    a_role, a_vm, a_host, a_rack = _broadcast(a_role, a_vm, a_host, a_rack)
+    a_role, a_vm, a_host, a_rack = _checked_hw_inputs(
+        a_role, a_vm, a_host, a_rack
+    )
     block = a_vm * a_host
     total = np.zeros_like(a_role)
     for x in range(n + 1):
-        total = total + binomial_pmf_array(x, n, block) * _conditional_array(
-            x, a_role, quorums
-        )
+        weight = _binomial_pmf_unchecked(x, n, block)
+        total = total + weight * _conditional_array(x, a_role, quorums)
     return total * a_rack
 
 
@@ -192,15 +222,20 @@ def hw_medium_array(
     """Vectorized :func:`repro.models.hw_closed.hw_medium` (Eqs. 4-5)."""
     if n < 2:
         raise ModelError("the Medium topology needs at least 2 nodes")
-    a_role, a_vm, a_host, a_rack = _broadcast(a_role, a_vm, a_host, a_rack)
+    a_role, a_vm, a_host, a_rack = _checked_hw_inputs(
+        a_role, a_vm, a_host, a_rack
+    )
     alpha = a_role * a_vm
+    # The three rack states share the conditionals for 0..n hosts up.
+    conditional = [
+        _conditional_array(x, alpha, quorums) for x in range(n + 1)
+    ]
 
     def hosts_term(k: int) -> np.ndarray:
         total = np.zeros_like(alpha)
         for x in range(k + 1):
-            total = total + binomial_pmf_array(
-                x, k, a_host
-            ) * _conditional_array(x, alpha, quorums)
+            weight = _binomial_pmf_unchecked(x, k, a_host)
+            total = total + weight * conditional[x]
         return total
 
     both_up = a_rack * a_rack * hosts_term(n)
@@ -218,13 +253,14 @@ def hw_large_array(
     n: int = 3,
 ) -> np.ndarray:
     """Vectorized :func:`repro.models.hw_closed.hw_large` (Eqs. 7-8)."""
-    a_role, a_vm, a_host, a_rack = _broadcast(a_role, a_vm, a_host, a_rack)
+    a_role, a_vm, a_host, a_rack = _checked_hw_inputs(
+        a_role, a_vm, a_host, a_rack
+    )
     alpha = a_role * a_vm * a_host
     total = np.zeros_like(alpha)
     for r in range(n + 1):
-        total = total + binomial_pmf_array(
-            r, n, a_rack
-        ) * _conditional_array(r, alpha, quorums)
+        weight = _binomial_pmf_unchecked(r, n, a_rack)
+        total = total + weight * _conditional_array(r, alpha, quorums)
     return total
 
 

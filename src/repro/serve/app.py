@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, AsyncIterator, Mapping
@@ -54,11 +55,7 @@ from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.telemetry import render_openmetrics
 from repro.obs.trace import TraceContext
 from repro.serve.admission import AdmissionController, AdmissionPolicy
-from repro.serve.batching import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_WINDOW_SECONDS,
-    MicroBatcher,
-)
+from repro.serve.batching import MicroBatcher
 from repro.serve.cache import (
     DEFAULT_MAX_ENTRIES,
     SingleFlightCache,
@@ -107,8 +104,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read ``app.port`` after start()
     cache_entries: int = DEFAULT_MAX_ENTRIES
-    batch_window_seconds: float = DEFAULT_WINDOW_SECONDS
-    max_batch: int = DEFAULT_MAX_BATCH
     shards: int = DEFAULT_SHARDS
     workers_per_job: int = 1
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
@@ -119,23 +114,27 @@ class ServeConfig:
     stream_heartbeat_seconds: float = 15.0
 
 
+def _is_integer(value: Any) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass but not a number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _probability(
     payload: Mapping[str, Any], name: str, default: float | None = None
 ) -> float:
     try:
-        value = float(payload[name])
+        raw = payload[name]
     except KeyError:
         if default is not None:
             return default
         raise ProtocolError(f"hw query is missing {name!r}") from None
-    except (TypeError, ValueError):
+    if not (_is_integer(raw) or isinstance(raw, float)):
         raise ProtocolError(
-            f"hw query field {name!r} must be a number, "
-            f"got {payload[name]!r}"
-        ) from None
-    if not 0.0 <= value <= 1.0:
-        raise ProtocolError(f"{name} must be in [0, 1], got {value}")
-    return value
+            f"hw query field {name!r} must be a number, got {raw!r}"
+        )
+    if not 0 <= raw <= 1:  # before float(), which a huge integer overflows
+        raise ProtocolError(f"{name} must be in [0, 1], got {raw}")
+    return float(raw)
 
 
 def _hw_models() -> dict[str, Any]:
@@ -203,7 +202,7 @@ def _analyze_network(payload: Mapping[str, Any]) -> dict[str, Any]:
     if not isinstance(switch, str) or not switch:
         raise ProtocolError("network query needs 'switch': a switch name")
     max_order = payload.get("max_order")
-    if max_order is not None and not isinstance(max_order, int):
+    if max_order is not None and not _is_integer(max_order):
         raise ProtocolError(
             f"max_order must be an integer, got {max_order!r}"
         )
@@ -222,10 +221,15 @@ def _analyze_network(payload: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _evaluate_option(payload: Mapping[str, Any]) -> dict[str, Any]:
-    from dataclasses import replace
-
+@functools.cache
+def _option_spec() -> Any:
+    """The paper's controller, built once per process (it is immutable)."""
     from repro.controller.opencontrail import opencontrail_3x
+
+    return opencontrail_3x()
+
+
+def _evaluate_option(payload: Mapping[str, Any]) -> dict[str, Any]:
     from repro.models.sw_options import evaluate_option
     from repro.params.defaults import PAPER_HARDWARE, PAPER_SOFTWARE
 
@@ -242,7 +246,7 @@ def _evaluate_option(payload: Mapping[str, Any]) -> dict[str, Any]:
     )
     try:
         result = evaluate_option(
-            opencontrail_3x(), option, hardware, PAPER_SOFTWARE
+            _option_spec(), option, hardware, PAPER_SOFTWARE
         )
     except ReproError as error:
         raise ProtocolError(f"option evaluation failed: {error}") from None
@@ -282,11 +286,7 @@ class ServeApp:
         self._hub: TelemetryHub | None = None
         self._hub_bus: telemetry.TelemetryBus | None = None
         self.batchers = {
-            name: MicroBatcher(
-                lambda batch, fn=model_fn: _lower_hw(fn, batch),
-                window_seconds=self.config.batch_window_seconds,
-                max_batch=self.config.max_batch,
-            )
+            name: MicroBatcher(lambda batch, fn=model_fn: _lower_hw(fn, batch))
             for name, model_fn in _hw_models().items()
         }
         self.requests_served = 0
@@ -595,7 +595,9 @@ class ServeApp:
 
     async def _query_hw(self, payload: Mapping[str, Any]) -> Response:
         model = payload.get("model", "small")
-        batcher = self.batchers.get(model)
+        batcher = (
+            self.batchers.get(model) if isinstance(model, str) else None
+        )
         if batcher is None:
             raise ProtocolError(
                 f"unknown hw model {model!r} "

@@ -4,9 +4,12 @@ Closed-form hardware availability queries are tiny — a handful of scalar
 parameters in, one float out — so answering each concurrent request with
 its own numpy call wastes the vectorized kernels in
 :mod:`repro.perf.vectorized`.  :class:`MicroBatcher` instead collects the
-requests that arrive within a short window (or until the batch is full)
-and lowers them into **one** array call; each waiter then receives its own
-element of the result.
+requests submitted during one pass of the event loop and lowers them into
+**one** array call on the next pass (or as soon as the batch is full); each
+waiter then receives its own element of the result.  There is no timer: a
+lone request is evaluated on the very next loop iteration, while requests
+submitted in the same iteration — request handlers woken together, or a
+``gather`` of submissions — share one call.
 
 Because the lowered kernels are elementwise over their parameter arrays,
 a batched evaluation is *exactly* equal — not just close — to evaluating
@@ -19,11 +22,12 @@ retried.
 
 When a request trace (:func:`repro.serve.tracing.current_request`) is in
 scope at ``submit`` time it is captured alongside the payload — the flush
-runs from a ``call_later`` callback in a *different* context, so the
+runs from a ``call_soon`` callback in a *different* context, so the
 ambient scope is gone by then — and at flush each waiter's trace is
-attributed ``batch_assembly`` (enqueue → flush start: time spent waiting
-for the window) and ``kernel_compute`` (the whole lowered call: every
-waiter paid for it in wall time, regardless of batch size).
+attributed ``batch_assembly`` (enqueue → flush start: the rest of the
+loop pass the request was submitted in, plus whatever other callbacks
+ran before the flush) and ``kernel_compute`` (the whole lowered call:
+every waiter paid for it in wall time, regardless of batch size).
 """
 
 from __future__ import annotations
@@ -35,18 +39,14 @@ from typing import Any, Callable, Sequence
 from repro.errors import ParameterError, ServeError
 from repro.serve.tracing import RequestTrace, current_request
 
-__all__ = ["DEFAULT_WINDOW_SECONDS", "DEFAULT_MAX_BATCH", "MicroBatcher"]
-
-#: Default gather window: long enough to coalesce a concurrent burst,
-#: short enough to be invisible next to network round-trip time.
-DEFAULT_WINDOW_SECONDS = 0.002
+__all__ = ["DEFAULT_MAX_BATCH", "MicroBatcher"]
 
 #: Default batch-size bound; a full batch flushes immediately.
 DEFAULT_MAX_BATCH = 256
 
 
 class MicroBatcher:
-    """Collects requests for ``window_seconds`` and lowers them together.
+    """Lowers the requests submitted in one event-loop pass together.
 
     ``lower`` is called with the list of pending payloads (in arrival
     order) and must return one result per payload, in order.  It runs on
@@ -58,22 +58,16 @@ class MicroBatcher:
     def __init__(
         self,
         lower: Callable[[list[Any]], Sequence[Any]],
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
     ):
-        if window_seconds < 0:
-            raise ParameterError(
-                f"window_seconds must be >= 0, got {window_seconds}"
-            )
         if max_batch < 1:
             raise ParameterError(f"max_batch must be >= 1, got {max_batch}")
         self._lower = lower
-        self.window_seconds = float(window_seconds)
         self.max_batch = int(max_batch)
         self._pending: list[
             tuple[Any, asyncio.Future, RequestTrace | None, float]
         ] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
+        self._flush_handle: asyncio.Handle | None = None
         self.batches = 0
         self.requests = 0
         self.largest_batch = 0
@@ -89,12 +83,7 @@ class MicroBatcher:
         if len(self._pending) >= self.max_batch:
             self._flush()
         elif self._flush_handle is None:
-            if self.window_seconds == 0.0:
-                self._flush_handle = loop.call_soon(self._flush)
-            else:
-                self._flush_handle = loop.call_later(
-                    self.window_seconds, self._flush
-                )
+            self._flush_handle = loop.call_soon(self._flush)
         return await future
 
     def _flush(self) -> None:

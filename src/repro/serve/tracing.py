@@ -10,8 +10,9 @@ Every HTTP request handled by :class:`repro.serve.app.ServeApp` gets a
 * ``cache`` — time inside the single-flight cache not spent computing
   (a hit's lookup, or a coalesced waiter's wait on another request's
   in-flight computation);
-* ``batch_assembly`` — time a hardware query waited for its micro-batch
-  window to fill/flush;
+* ``batch_assembly`` — time a hardware query waited between its
+  micro-batch submission and the flush, which runs on the next
+  event-loop iteration (or at once when the batch is full);
 * ``kernel_compute`` — time in the vectorized kernel (or the blocking
   analytic evaluation) itself;
 * ``other`` — the residual (routing, JSON encode/decode, event-loop

@@ -164,6 +164,38 @@ class TestSingleFlight:
 
 
 class TestMicroBatcher:
+    def test_lone_submit_resolves_without_a_timer(self):
+        calls: list[list] = []
+
+        def lower(batch):
+            calls.append(batch)
+            return [item + 1 for item in batch]
+
+        batcher = MicroBatcher(lower)
+        timers: list[tuple] = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            call_later, call_at = loop.call_later, loop.call_at
+
+            def record_later(*args, **kwargs):
+                timers.append(args)
+                return call_later(*args, **kwargs)
+
+            def record_at(*args, **kwargs):
+                timers.append(args)
+                return call_at(*args, **kwargs)
+
+            loop.call_later, loop.call_at = record_later, record_at
+            try:
+                return await batcher.submit(41)
+            finally:
+                loop.call_later, loop.call_at = call_later, call_at
+
+        assert run(scenario()) == 42
+        assert calls == [[41]]
+        assert timers == []  # flushed on the next loop pass, not a timer
+
     def test_concurrent_requests_lower_to_one_call(self):
         calls: list[list] = []
 
@@ -171,7 +203,7 @@ class TestMicroBatcher:
             calls.append(batch)
             return [item * 10 for item in batch]
 
-        batcher = MicroBatcher(lower, window_seconds=0.005, max_batch=64)
+        batcher = MicroBatcher(lower)
 
         async def scenario():
             return await asyncio.gather(
@@ -209,23 +241,50 @@ class TestMicroBatcher:
             calls.append(batch)
             return list(batch)
 
-        batcher = MicroBatcher(lower, window_seconds=10.0, max_batch=3)
+        batcher = MicroBatcher(lower, max_batch=3)
 
         async def scenario():
             return await asyncio.gather(
-                *(batcher.submit(i) for i in range(3))
+                *(batcher.submit(i) for i in range(5))
             )
 
-        # window is 10s, so only the max_batch trigger can flush in time
         results = run(asyncio.wait_for(scenario(), timeout=5.0))
-        assert results == [0, 1, 2]
-        assert len(calls) == 1
+        assert results == [0, 1, 2, 3, 4]
+        # The third submission fills the batch and flushes it at once; the
+        # remainder goes out on the next loop pass.
+        assert calls == [[0, 1, 2], [3, 4]]
+        assert batcher.batches == 2
+        assert batcher.largest_batch == 3
+
+    def test_trace_records_batch_and_kernel_segments(self):
+        from repro.obs.trace import TraceContext
+        from repro.serve.tracing import RequestTrace, request_scope
+
+        batcher = MicroBatcher(lambda batch: list(batch))
+        traces = [
+            RequestTrace(context=TraceContext.new(), started=0.0)
+            for _ in range(3)
+        ]
+
+        async def one(trace, payload):
+            with request_scope(trace):
+                return await batcher.submit(payload)
+
+        async def scenario():
+            return await asyncio.gather(
+                *(one(trace, i) for i, trace in enumerate(traces))
+            )
+
+        assert run(scenario()) == [0, 1, 2]
+        for trace in traces:
+            assert set(trace.segments) == {"batch_assembly", "kernel_compute"}
+            assert trace.annotations["batch_size"] == 3
 
     def test_lowering_failure_reaches_every_waiter(self):
         def lower(batch):
             raise ValueError("kernel rejected the batch")
 
-        batcher = MicroBatcher(lower, window_seconds=0.001)
+        batcher = MicroBatcher(lower)
 
         async def scenario():
             return await asyncio.gather(
@@ -239,7 +298,7 @@ class TestMicroBatcher:
     def test_result_length_mismatch_is_an_error(self):
         from repro.errors import ServeError
 
-        batcher = MicroBatcher(lambda batch: [1], window_seconds=0.001)
+        batcher = MicroBatcher(lambda batch: [1])
 
         async def scenario():
             return await asyncio.gather(
@@ -251,7 +310,5 @@ class TestMicroBatcher:
         assert all(isinstance(result, ServeError) for result in results)
 
     def test_rejects_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            MicroBatcher(lambda batch: batch, window_seconds=-1.0)
         with pytest.raises(ParameterError):
             MicroBatcher(lambda batch: batch, max_batch=0)

@@ -275,6 +275,94 @@ class TestEndToEnd:
         assert spelled_out["availability"] == defaulted["availability"]
         assert bad[0] == 400
 
+    def _query_statuses(self, payloads):
+        """Each payload's (status, error) and the app's SLO availability."""
+
+        def post(payload):
+            body = json.dumps(payload).encode()
+            return (
+                b"POST /v1/query HTTP/1.1\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+
+        async def scenario():
+            app = ServeApp(ServeConfig())
+            await app.start()
+            try:
+                answers = []
+                for payload in payloads:
+                    status, body = await _roundtrip(app, post(payload))
+                    answers.append((status, json.loads(body).get("error")))
+                return answers, app.slo.snapshot()["availability"]
+            finally:
+                await app.stop()
+
+        return run(scenario())
+
+    def test_non_string_hw_model_is_400(self):
+        answers, availability = self._query_statuses(
+            [
+                {"kind": "hw", "model": ["small"]},
+                {"kind": "hw", "model": {"name": "small"}},
+                {"kind": "hw", "model": None},
+                {"kind": "hw", "model": 3},
+            ]
+        )
+        for status, error in answers:
+            assert status == 400
+            assert "unknown hw model" in error
+        # A client error is not a server failure: the SLO stays whole.
+        assert availability["bad"] == 0
+
+    def test_boolean_probability_is_400(self):
+        answers, _ = self._query_statuses(
+            [
+                {"kind": "hw", "a_role": True},
+                {"kind": "hw", "a_vm": False},
+                {"kind": "option", "option": "2S", "a_host": True},
+            ]
+        )
+        for status, error in answers:
+            assert status == 400
+            assert "must be a number" in error
+
+    def test_string_probability_is_400(self):
+        answers, _ = self._query_statuses(
+            [
+                {"kind": "hw", "a_role": "0.5"},
+                {"kind": "option", "option": "1L", "a_rack": "1"},
+            ]
+        )
+        for status, error in answers:
+            assert status == 400
+            assert "must be a number" in error
+
+    def test_probability_accepts_json_integers(self):
+        answers, _ = self._query_statuses(
+            [
+                {"kind": "hw", "a_role": 1, "a_vm": 1, "a_host": 1},
+                {"kind": "hw", "a_rack": 10**400},
+            ]
+        )
+        assert answers[0] == (200, None)
+        assert answers[1][0] == 400
+        assert "must be in [0, 1]" in answers[1][1]
+
+    def test_boolean_max_order_is_400(self):
+        answers, _ = self._query_statuses(
+            [
+                {
+                    "kind": "network",
+                    "graph": "backbone",
+                    "switch": "SW1",
+                    "max_order": True,
+                }
+            ]
+        )
+        assert answers[0][0] == 400
+        assert "max_order must be an integer" in answers[0][1]
+
     def test_metrics_exposition(self):
         async def scenario():
             app = ServeApp(ServeConfig())
