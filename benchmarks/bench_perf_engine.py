@@ -13,10 +13,13 @@ repository root:
   frozen-parameter memo.
 
 Timings are best-of-``repeats`` wall clock; the Monte-Carlo comparison
-reports both a cold pool (process startup included) and a warm pool
-(steady-state throughput).  Runnable as a pytest benchmark *or* directly as
-a script — ``python benchmarks/bench_perf_engine.py --samples 400
---points 101 --workers 2`` is the CI smoke invocation.
+reports both a cold pool (each timed call follows an untimed
+``shutdown_warm_pools()``, so it includes process start-up) and a warm pool
+(the registry's pool reused after one untimed call: steady-state
+throughput).  Runnable as a pytest benchmark *or* directly as a script —
+``python benchmarks/bench_perf_engine.py --samples 2048 --points 101
+--workers 2`` is the CI smoke invocation (two 1024-sample chunks, so the
+pooled dispatch runs).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +47,11 @@ from repro.controller.spec import Plane
 from repro.params.defaults import PAPER_HARDWARE, PAPER_SOFTWARE
 from repro.params.software import RestartScenario
 from repro.obs import runtime as obs
-from repro.perf import fig3_series_vectorized, monte_carlo_parallel
+from repro.perf import (
+    fig3_series_vectorized,
+    monte_carlo_parallel,
+    shutdown_warm_pools,
+)
 from repro.reporting.tables import format_table
 from repro.topology.reference import reference_topology
 
@@ -53,9 +59,12 @@ BENCH_SEED = 20190324  # the paper's conference date; any fixed value works
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
 
 
-def _best_of(fn, repeats: int) -> float:
+def _best_of(fn, repeats: int, before=None) -> float:
+    """Best wall time of ``fn``; ``before`` runs untimed ahead of each call."""
     times = []
     for _ in range(repeats):
+        if before is not None:
+            before()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -78,20 +87,15 @@ def run_perf_bench(
         ),
         repeats,
     )
-    mc_cold = _best_of(
-        lambda: monte_carlo_parallel(
+    def mc_pooled() -> None:
+        monte_carlo_parallel(
             hw_large, hardware, samples=samples, seed=BENCH_SEED,
             workers=workers,
-        ),
-        repeats,
-    )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        warm = lambda: monte_carlo_parallel(  # noqa: E731
-            hw_large, hardware, samples=samples, seed=BENCH_SEED,
-            workers=workers, executor=pool,
         )
-        warm()  # first dispatch pays the fork cost
-        mc_warm = _best_of(warm, repeats)
+
+    mc_cold = _best_of(mc_pooled, repeats, before=shutdown_warm_pools)
+    mc_pooled()  # untimed: the first dispatch pays the fork cost
+    mc_warm = _best_of(mc_pooled, repeats)
 
     # -- sweeps: per-point loop vs whole-grid arrays -------------------------
     sweep_scalar = _best_of(

@@ -20,12 +20,11 @@ so agreement still validates model structure.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Executor
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from repro.controller.opencontrail import opencontrail_3x
-from repro.errors import CampaignError, SimulationError
+from repro.errors import CampaignError, ParameterError, SimulationError
 from repro.models.sw_options import parse_option
 from repro.obs import runtime as obs
 from repro.obs import telemetry
@@ -38,7 +37,7 @@ from repro.sim.controller_sim import (
     build_simulator,
     collect_result,
 )
-from repro.perf.parallel import broadcast_value, map_chunked
+from repro.perf.parallel import map_chunked
 from repro.sim.batched import (
     inexpressible_reason,
     plan_batched,
@@ -46,7 +45,7 @@ from repro.sim.batched import (
     validate_batched_mode,
 )
 from repro.sim.measures import SignalAttribution
-from repro.sim.replicate import ReplicationSet, map_jobs
+from repro.sim.replicate import ReplicationSet
 from repro.sim.rng import derive_seeds
 from repro.topology.reference import reference_topology
 from repro.faults.hazards import (
@@ -210,27 +209,14 @@ def materialize(spec: CampaignSpec):
     return controller, topology, hardware, software, scenario
 
 
-def _run_campaign_replication(job: tuple) -> tuple[SimulationResult, dict]:
-    """One campaign replication (module-level so it pickles into workers)."""
-    spec, seed = job
-    return _run_one_replication(spec, seed)
-
-
-def _campaign_replication_from_broadcast(
-    seed: int,
-) -> tuple[SimulationResult, dict]:
-    """One replication reading the spec from the warm pool's broadcast.
-
-    On the warm-pool path the frozen :class:`CampaignSpec` is shipped once
-    per worker process (pool initializer) and each job carries its seed
-    only.
-    """
-    return _run_one_replication(broadcast_value(), seed)
-
-
 def _run_one_replication(
     spec: CampaignSpec, seed: int
 ) -> tuple[SimulationResult, dict]:
+    """One campaign replication (module-level so it pickles into workers).
+
+    On the warm-pool path the frozen :class:`CampaignSpec` is broadcast
+    once per worker process and each job carries its seed only.
+    """
     controller, topology, hardware, software, scenario = materialize(spec)
     config = SimulationConfig(
         seed=seed,
@@ -310,7 +296,6 @@ class CampaignResult:
 def run_campaign(
     spec: CampaignSpec,
     workers: int = 1,
-    executor: Executor | None = None,
     batched: str = "auto",
 ) -> CampaignResult:
     """Execute a campaign; bit-identical for any ``workers`` count.
@@ -321,24 +306,25 @@ def run_campaign(
     order.  Under an observability session the campaign annotates its seed
     material and spec hash (they land in the run manifest) and aggregates
     per-hazard injection counters and the peak repair-queue depth.
+    ``workers < 1`` raises :class:`~repro.errors.ParameterError`.
 
     ``batched="auto"`` (default) routes hazard-free, crew-unlimited
     scenario-1 campaigns through the struct-of-arrays lockstep kernel
-    (:mod:`repro.sim.batched`) when no explicit ``executor`` is given —
-    same numbers, one vectorized process instead of one event loop per
-    replication.  ``"on"`` requires the kernel and raises
-    :class:`~repro.errors.SimulationError` when the campaign needs scalar
-    features; ``"off"`` always uses the scalar engine.
+    (:mod:`repro.sim.batched`) — same numbers, one vectorized process
+    instead of one event loop per replication.  ``"on"`` requires the
+    kernel and raises :class:`~repro.errors.SimulationError` when the
+    campaign needs scalar features; ``"off"`` always uses the scalar
+    engine.
     """
     validate_batched_mode(batched)
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     controller, topology, hardware, software, scenario = materialize(spec)
     model = None
     if batched != "off":
         reason = inexpressible_reason(
             scenario, spec.hazards, spec.repair_crews
         )
-        if reason is None and executor is not None:
-            reason = "an explicit executor was supplied"
         if reason is None:
             model, reason = plan_batched(
                 controller, topology, hardware, software, scenario,
@@ -399,23 +385,13 @@ def run_campaign(
                     model, list(seeds), spec.horizon_hours, spec.batches
                 )
             ]
-        elif executor is None and workers > 1 and spec.replications > 1:
-            # Warm-pool path: the frozen spec broadcasts once per worker
-            # via the pool initializer; jobs carry only their seed and are
-            # chunked per worker.
+        else:
             outcomes = map_chunked(
-                _campaign_replication_from_broadcast,
+                _run_one_replication,
                 list(seeds),
                 workers,
                 spec,
-            )
-        else:
-            outcomes = map_jobs(
-                _run_campaign_replication,
-                [(spec, seed) for seed in seeds],
-                workers=workers,
-                executor=executor,
-                span_name="faults.replication",
+                "faults.replication",
             )
     results = tuple(result for result, _ in outcomes)
     stats = tuple(stat for _, stat in outcomes)

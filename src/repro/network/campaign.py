@@ -23,11 +23,10 @@ count and with telemetry on or off.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Executor
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ParameterError
 from repro.obs import runtime as obs
 from repro.obs import telemetry
 from repro.obs.manifest import params_hash
@@ -39,11 +38,10 @@ from repro.faults.hazards import (
 )
 from repro.network.graph import NetworkGraph, NetworkLink
 from repro.network.paths import exact_control_path_unavailability
-from repro.perf.parallel import broadcast_value, map_chunked
+from repro.perf.parallel import map_chunked
 from repro.sim.engine import AvailabilitySimulator
 from repro.sim.entities import Component, ComponentKind
 from repro.sim.measures import ConfidenceInterval, batch_means_interval
-from repro.sim.replicate import map_jobs
 from repro.sim.rng import derive_seeds
 from repro.units import mttr_from_availability
 
@@ -396,6 +394,11 @@ def _collect(
 def _run_one_replication(
     spec: NetworkCampaignSpec, seed: int
 ) -> tuple[NetworkRunResult, dict]:
+    """One replication (module-level so it pickles into worker processes).
+
+    On the warm-pool path the frozen spec is broadcast once per worker
+    process and each job carries its seed only.
+    """
     simulator = build_network_simulator(spec, seed)
     hazard_set = attach_hazards(simulator, spec.hazards)
     simulator.run(spec.horizon_hours, batches=spec.batches)
@@ -404,25 +407,15 @@ def _run_one_replication(
     return _collect(spec, seed, simulator), stats
 
 
-def _network_replication(job: tuple) -> tuple[NetworkRunResult, dict]:
-    """One replication (module-level so it pickles into worker processes)."""
-    spec, seed = job
-    return _run_one_replication(spec, seed)
-
-
-def _network_replication_from_broadcast(
-    seed: int,
-) -> tuple[NetworkRunResult, dict]:
-    """Warm-pool path: the frozen spec ships once per worker process."""
-    return _run_one_replication(broadcast_value(), seed)
-
-
 def run_network_campaign(
-    spec: NetworkCampaignSpec,
-    workers: int = 1,
-    executor: Executor | None = None,
+    spec: NetworkCampaignSpec, workers: int = 1
 ) -> NetworkCampaignResult:
-    """Execute a network campaign; bit-identical for any ``workers`` count."""
+    """Execute a network campaign; bit-identical for any ``workers`` count.
+
+    ``workers < 1`` raises :class:`~repro.errors.ParameterError`.
+    """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     seeds = derive_seeds(spec.seed, spec.replications)
     obs.note_solver("network-campaign")
     obs.annotate("topology", spec.graph.name)
@@ -446,21 +439,13 @@ def run_network_campaign(
         hazards=len(spec.hazards),
         workers=workers,
     ):
-        if executor is None and workers > 1 and spec.replications > 1:
-            outcomes = map_chunked(
-                _network_replication_from_broadcast,
-                list(seeds),
-                workers,
-                spec,
-            )
-        else:
-            outcomes = map_jobs(
-                _network_replication,
-                [(spec, seed) for seed in seeds],
-                workers=workers,
-                executor=executor,
-                span_name="network.replication",
-            )
+        outcomes = map_chunked(
+            _run_one_replication,
+            list(seeds),
+            workers,
+            spec,
+            "network.replication",
+        )
     results = tuple(result for result, _ in outcomes)
     stats = tuple(stat for _, stat in outcomes)
     if obs.enabled():

@@ -24,7 +24,7 @@ context: :class:`TraceContext` is a W3C-``traceparent``-shaped
 by :mod:`repro.serve.app`, installed with :func:`trace_scope` (a
 :mod:`contextvars` scope, so it follows ``await`` chains and
 ``asyncio.to_thread`` hops), and shipped as a plain dict across the
-process-pool boundary by :func:`repro.perf.parallel.dispatch_chunks`.  Ids
+process-pool boundary by :func:`repro.perf.parallel.map_chunked`.  Ids
 come from ``os.urandom`` — never from the seeded simulation generators —
 so installing, propagating, or dropping a context cannot perturb results.
 """

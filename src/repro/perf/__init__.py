@@ -8,11 +8,9 @@ the 10^4-10^6 model evaluations that availability confidence studies need:
   ``plane_availability_array``);
 * :mod:`repro.perf.parallel` — the chunked, ``SeedSequence.spawn``-seeded
   Monte-Carlo runner (:func:`monte_carlo_parallel`), bit-identical across
-  worker counts, plus the warm process-pool registry
-  (:func:`get_warm_pool`) that replication dispatch reuses across calls;
-  the matching replication runner lives in :mod:`repro.sim.replicate`;
-* :mod:`repro.perf.cache` — transparent memoization of model evaluations
-  keyed on the frozen parameter dataclasses;
+  worker counts, and the one seeded-job dispatcher (``map_chunked``) with
+  its warm process-pool registry (:func:`get_warm_pool`), which the
+  replication and campaign runners reuse across calls;
 * :mod:`repro.perf.batching` — memory-bounded chunk sizing for the
   struct-of-arrays lockstep replication kernel (:mod:`repro.sim.batched`).
 """
@@ -22,25 +20,16 @@ from repro.perf.batching import (
     DEFAULT_BUDGET_BYTES,
     replication_batch_size,
 )
-from repro.perf.cache import (
-    clear_engine_cache,
-    engine_cache_info,
-    evaluate_topology_cached,
-    memoize_model,
-)
 from repro.perf.parallel import (
     ARRAY_MODELS,
     DEFAULT_CHUNK_SIZE,
     MAX_WARM_POOLS,
-    PoolHandle,
-    acquire_warm_pool,
     chunk_bounds,
     get_warm_pool,
     monte_carlo_parallel,
     shutdown_warm_pools,
     split_chunks,
     warm_pool_count,
-    warm_pool_lease_count,
 )
 from repro.perf.vectorized import (
     dp_availability_array,
@@ -63,19 +52,12 @@ __all__ = [
     "ARRAY_MODELS",
     "DEFAULT_CHUNK_SIZE",
     "MAX_WARM_POOLS",
-    "PoolHandle",
-    "acquire_warm_pool",
     "chunk_bounds",
     "get_warm_pool",
     "monte_carlo_parallel",
     "shutdown_warm_pools",
     "split_chunks",
     "warm_pool_count",
-    "warm_pool_lease_count",
-    "memoize_model",
-    "evaluate_topology_cached",
-    "engine_cache_info",
-    "clear_engine_cache",
     "dp_availability_array",
     "fig3_series_vectorized",
     "fig4_series_vectorized",

@@ -1,4 +1,13 @@
-"""Deterministic parallel Monte-Carlo over input-parameter uncertainty.
+"""Deterministic parallel Monte-Carlo and the one seeded-job dispatcher.
+
+:func:`map_chunked` maps a module-level ``worker(context, item)`` over a
+list of items and returns the results in item order: inline when
+``workers == 1`` (or there is at most one item), otherwise on a warm
+process pool with ``context`` broadcast once per worker process.  Every
+seeded runner goes through it — :func:`repro.sim.replicate.
+run_replications`, :func:`repro.faults.campaign.run_campaign`,
+:func:`repro.network.campaign.run_network_campaign` and
+:func:`monte_carlo_parallel` below.
 
 :func:`monte_carlo_parallel` reproduces the study of
 :func:`repro.analysis.uncertainty.monte_carlo` — the distribution of a
@@ -10,8 +19,7 @@ but restructured for throughput:
   spawn_key=(c,))`` (the ``SeedSequence.spawn`` child derivation), so every
   sample is a pure function of ``(seed, chunk_size, sample index)`` —
   results are **bit-identical regardless of the worker count**;
-* chunks are dispatched to a :class:`concurrent.futures.ProcessPoolExecutor`
-  when ``workers > 1`` and evaluated inline otherwise;
+* chunks are dispatched through :func:`map_chunked`;
 * within a chunk, models registered in :data:`ARRAY_MODELS` (the section V
   closed forms) are evaluated **vectorized** over the whole chunk via
   :mod:`repro.perf.vectorized`; unregistered models fall back to scalar
@@ -31,7 +39,7 @@ import atexit
 import pickle
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -59,12 +67,8 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "MAX_RIDEBACK_SPANS",
     "MAX_WARM_POOLS",
-    "PoolHandle",
-    "acquire_warm_pool",
     "monte_carlo_parallel",
     "chunk_bounds",
-    "broadcast_value",
-    "dispatch_chunks",
     "evaluate_chunk",
     "evaluate_chunk_captured",
     "get_warm_pool",
@@ -72,7 +76,6 @@ __all__ = [
     "shutdown_warm_pools",
     "split_chunks",
     "warm_pool_count",
-    "warm_pool_lease_count",
 ]
 
 #: Scalar model -> vectorized counterpart used for whole-chunk evaluation.
@@ -106,18 +109,20 @@ def _scale_array(availability: float, orders: np.ndarray) -> np.ndarray:
 
 
 def _mc_chunk(
-    model: Callable[[HardwareParams], float],
-    array_model: Callable[..., np.ndarray] | None,
-    base: HardwareParams,
-    spread_orders: float,
-    seed: int,
-    chunk_index: int,
-    count: int,
-) -> np.ndarray:
-    """Evaluate one chunk of samples (runs in a worker process).
+    context: tuple, item: tuple[int, int]
+) -> tuple[np.ndarray, float]:
+    """Evaluate one chunk of samples, timed (the :func:`map_chunked` worker).
 
-    Module-level so it pickles under :class:`ProcessPoolExecutor`.
+    ``context`` is ``(model, array_model, base, spread_orders, seed)`` and
+    ``item`` is ``(chunk index, sample count)``.  The chunk's wall time
+    rides back with the values (an observation only — the sample values
+    are untouched), so the parent process can report chunk-time histograms
+    and worker utilization even for chunks evaluated in pool workers,
+    where the parent's runtime state is invisible.
     """
+    start = time.perf_counter()
+    model, array_model, base, spread_orders, seed = context
+    chunk_index, count = item
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(chunk_index,))
     )
@@ -129,20 +134,23 @@ def _mc_chunk(
         for j, field in enumerate(HARDWARE_FIELDS)
     }
     if array_model is not None:
-        out = array_model(
-            columns["a_role"],
-            columns["a_vm"],
-            columns["a_host"],
-            columns["a_rack"],
+        values = np.asarray(
+            array_model(
+                columns["a_role"],
+                columns["a_vm"],
+                columns["a_host"],
+                columns["a_rack"],
+            ),
+            dtype=float,
         )
-        return np.asarray(out, dtype=float)
-    values = np.empty(count, dtype=float)
-    for i in range(count):
-        params = replace(
-            base, **{f: float(columns[f][i]) for f in HARDWARE_FIELDS}
-        )
-        values[i] = model(params)
-    return values
+    else:
+        values = np.empty(count, dtype=float)
+        for i in range(count):
+            params = replace(
+                base, **{f: float(columns[f][i]) for f in HARDWARE_FIELDS}
+            )
+            values[i] = model(params)
+    return values, time.perf_counter() - start
 
 
 def monte_carlo_parallel(
@@ -155,7 +163,6 @@ def monte_carlo_parallel(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     vectorize: bool = True,
     array_model: Callable[..., np.ndarray] | None = None,
-    executor: Executor | None = None,
 ) -> UncertaintyResult:
     """Parallel/vectorized distribution of ``model`` under input uncertainty.
 
@@ -166,7 +173,9 @@ def monte_carlo_parallel(
         spread_orders: ±orders of magnitude of downtime uncertainty.
         samples: number of Monte-Carlo samples.
         seed: root seed of the ``SeedSequence`` derivation tree.
-        workers: process count; ``<= 1`` evaluates inline (no pool).
+        workers: process count; ``1`` evaluates inline (no pool).  More
+            workers dispatch the chunks on the warm pool of
+            :func:`map_chunked`, which a repeated identical call reuses.
         chunk_size: samples per chunk.  Changing it changes the draws;
             changing ``workers`` never does.
         vectorize: evaluate chunks through the model's registered array
@@ -174,9 +183,6 @@ def monte_carlo_parallel(
         array_model: explicit vectorized counterpart overriding the
             registry; called as ``array_model(a_role, a_vm, a_host,
             a_rack)`` on equal-length arrays.
-        executor: reuse an existing executor (e.g. a warm process pool)
-            instead of creating one per call; ``workers`` is then only the
-            chunk-dispatch width.
 
     Returns:
         The same :class:`UncertaintyResult` as the sequential path, with
@@ -189,10 +195,6 @@ def monte_carlo_parallel(
     resolved = array_model
     if resolved is None and vectorize:
         resolved = ARRAY_MODELS.get(model)
-    jobs = [
-        (model, resolved, base, spread_orders, seed, c, stop - start)
-        for c, start, stop in chunks
-    ]
     obs.note_solver("monte-carlo")
     if resolved is not None:
         obs.note_solver("vectorized")
@@ -201,29 +203,27 @@ def monte_carlo_parallel(
     with obs.span(
         "perf.monte_carlo",
         samples=samples,
-        chunks=len(jobs),
+        chunks=len(chunks),
         workers=workers,
         vectorized=resolved is not None,
     ):
         wall_start = time.perf_counter()
-        inline = executor is None and (workers == 1 or len(jobs) == 1)
-        if executor is not None:
-            timed = list(executor.map(_mc_chunk_star, jobs))
-        elif inline:
-            timed = [_mc_chunk_star(job) for job in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                timed = list(pool.map(_mc_chunk_star, jobs))
-        parts = [values for values, _ in timed]
+        timed = map_chunked(
+            _mc_chunk,
+            [(c, stop - start) for c, start, stop in chunks],
+            workers,
+            (model, resolved, base, spread_orders, seed),
+            "perf.mc_chunk",
+        )
         wall = time.perf_counter() - wall_start
     if obs.enabled():
         _record_mc_metrics(
             samples,
             [seconds for _, seconds in timed],
             wall,
-            1 if inline else min(workers, len(jobs)),
+            min(workers, len(chunks)),
         )
-    values = np.concatenate(parts)
+    values = np.concatenate([values for values, _ in timed])
     return UncertaintyResult(tuple(float(v) for v in values))
 
 
@@ -247,20 +247,6 @@ def _record_mc_metrics(
         )
 
 
-def _mc_chunk_star(job: tuple) -> tuple[np.ndarray, float]:
-    """Evaluate one chunk, timed.
-
-    The per-chunk wall time rides back with the values (an observation
-    only — the sample values are untouched), so the parent process can
-    report chunk-time histograms and worker utilization even for chunks
-    evaluated in pool workers, where the parent's runtime state is
-    invisible.
-    """
-    start = time.perf_counter()
-    values = _mc_chunk(*job)
-    return values, time.perf_counter() - start
-
-
 # -- warm process pools -------------------------------------------------------
 #
 # ``ProcessPoolExecutor`` start-up (fork/spawn + interpreter import) costs a
@@ -273,30 +259,18 @@ def _mc_chunk_star(job: tuple) -> tuple[np.ndarray, float]:
 # with observability *disabled*, which keeps pool-dispatched replications
 # trace-free exactly like the cold-pool path before them.
 #
-# Two lifecycles share the registry:
-#
-# * **Anonymous reuse** (:func:`get_warm_pool`) — the CLI path.  Each call
-#   refreshes the pool's LRU position; pools beyond :data:`MAX_WARM_POOLS`
-#   are evicted oldest-first.  Nothing pins a pool, so a sweep over many
-#   distinct broadcast specs churns through the cap as before.
-# * **Explicit leases** (:func:`acquire_warm_pool`) — the long-running
-#   server path.  A :class:`PoolHandle` pins its pool against LRU eviction
-#   until released, so a service's job pool cannot be shut down underneath
-#   it by unrelated dispatches.  Leases never change which pool a recipe
-#   maps to, so CLI callers and lease holders with equal recipes share one
-#   pool — the "one pool lifecycle for both" contract.
+# Each acquisition refreshes the pool's LRU position; pools beyond
+# :data:`MAX_WARM_POOLS` are evicted oldest-first, so a sweep over many
+# distinct broadcast specs churns through the cap.  Eviction shuts a pool
+# down without waiting and without cancelling: a dispatch still running on
+# an evicted pool (another thread's) finishes and gets every result.
 
-#: Live warm pools are capped; the least-recently-used *unleased* pool
-#: beyond the cap is shut down (each pool owns OS processes — an unbounded
-#: registry would leak them under e.g. a sweep over many distinct broadcast
-#: specs).  Leased pools are never evicted, so the live count can exceed
-#: the cap while more than ``MAX_WARM_POOLS`` leases are outstanding.
+#: Live warm pools are capped; the least-recently-used pool beyond the cap
+#: is shut down (each pool owns OS processes — an unbounded registry would
+#: leak them under e.g. a sweep over many distinct broadcast specs).
 MAX_WARM_POOLS = 4
 
 _WARM_POOLS: OrderedDict[tuple, ProcessPoolExecutor] = OrderedDict()
-
-#: Outstanding lease counts by pool key (absent key == no leases).
-_POOL_LEASES: dict[tuple, int] = {}
 
 
 def _pool_unusable(pool: ProcessPoolExecutor) -> bool:
@@ -321,23 +295,12 @@ def _obtain_pool(key: tuple) -> ProcessPoolExecutor:
         max_workers=workers, initializer=initializer, initargs=initargs
     )
     _WARM_POOLS[key] = pool
-    _trim_pools()
+    while len(_WARM_POOLS) > MAX_WARM_POOLS:
+        _, evicted = _WARM_POOLS.popitem(last=False)
+        evicted.shutdown(wait=False)
     if obs.enabled():
         obs.gauge("perf.warm_pools.live", len(_WARM_POOLS))
     return pool
-
-
-def _trim_pools() -> None:
-    """Evict least-recently-used unleased pools beyond the cap."""
-    if len(_WARM_POOLS) <= MAX_WARM_POOLS:
-        return
-    for key in list(_WARM_POOLS):
-        if len(_WARM_POOLS) <= MAX_WARM_POOLS:
-            return
-        if _POOL_LEASES.get(key, 0) > 0:
-            continue
-        evicted = _WARM_POOLS.pop(key)
-        evicted.shutdown(wait=False, cancel_futures=True)
 
 
 def get_warm_pool(
@@ -354,96 +317,15 @@ def get_warm_pool(
     campaign spec): send it once per worker instead of once per job.
     Broken or shut-down pools are replaced transparently; all pools are
     shut down at interpreter exit (or explicitly via
-    :func:`shutdown_warm_pools`).  For a pool that must survive unrelated
-    dispatch churn (a long-running server), hold a lease via
-    :func:`acquire_warm_pool` instead.
+    :func:`shutdown_warm_pools`).
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     return _obtain_pool((workers, initializer, initargs))
 
 
-class PoolHandle:
-    """An explicit lease on one warm pool's lifecycle.
-
-    While any handle on a recipe is unreleased, the registry never
-    LRU-evicts that recipe's pool; :func:`shutdown_warm_pools` (and the
-    interpreter-exit hook) still closes it, and :attr:`executor`
-    transparently re-creates a pool that was shut down or broke while
-    leased.  Handles are context managers::
-
-        with acquire_warm_pool(workers=4) as handle:
-            handle.executor.map(...)
-
-    Releasing is idempotent; using :attr:`executor` after release raises
-    :class:`~repro.errors.ParameterError`.
-    """
-
-    __slots__ = ("_key", "_released")
-
-    def __init__(self, key: tuple):
-        self._key = key
-        self._released = False
-
-    @property
-    def workers(self) -> int:
-        return self._key[0]
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        """The leased pool (replaced transparently if broken/shut down)."""
-        if self._released:
-            raise ParameterError("pool handle has been released")
-        return _obtain_pool(self._key)
-
-    def release(self) -> None:
-        """Drop this lease; the pool becomes LRU-evictable again."""
-        if self._released:
-            return
-        self._released = True
-        remaining = _POOL_LEASES.get(self._key, 0) - 1
-        if remaining > 0:
-            _POOL_LEASES[self._key] = remaining
-        else:
-            _POOL_LEASES.pop(self._key, None)
-            _trim_pools()
-
-    def __enter__(self) -> "PoolHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-def acquire_warm_pool(
-    workers: int,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-) -> PoolHandle:
-    """Lease the warm pool for this recipe (see :class:`PoolHandle`).
-
-    The same registry backs :func:`get_warm_pool`, so a lease shares its
-    pool with anonymous callers of the same recipe — acquiring never forks
-    a second pool, it only pins the shared one.
-    """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    key = (workers, initializer, initargs)
-    _obtain_pool(key)
-    _POOL_LEASES[key] = _POOL_LEASES.get(key, 0) + 1
-    return PoolHandle(key)
-
-
 def shutdown_warm_pools(wait: bool = True) -> int:
-    """Shut down every cached pool; returns how many were live.
-
-    Outstanding leases survive a shutdown: their next ``executor`` access
-    re-creates the pool (a lease pins a *recipe*, not one executor object).
-    """
+    """Shut down every cached pool; returns how many were live."""
     count = len(_WARM_POOLS)
     while _WARM_POOLS:
         _, pool = _WARM_POOLS.popitem(last=False)
@@ -454,11 +336,6 @@ def shutdown_warm_pools(wait: bool = True) -> int:
 def warm_pool_count() -> int:
     """How many warm pools are currently cached (for tests/diagnostics)."""
     return len(_WARM_POOLS)
-
-
-def warm_pool_lease_count() -> int:
-    """How many pool recipes currently hold at least one lease."""
-    return len(_POOL_LEASES)
 
 
 atexit.register(shutdown_warm_pools)
@@ -487,10 +364,9 @@ def split_chunks(items: Sequence, parts: int) -> list[list]:
 
 # -- broadcast dispatch -------------------------------------------------------
 #
-# Per-worker-process slot for dispatch-constant state.  Replication jobs
-# used to carry the full (spec, topology, params, ...) tuple per job; with
-# the broadcast channel the constant part pickles once per worker process
-# (via the pool initializer) and each job shrinks to its seed.
+# Per-worker-process slot for dispatch-constant state: the context of a
+# dispatch pickles once per worker process (via the pool initializer), so
+# each job carries only its item.
 
 _BROADCAST = None
 
@@ -501,15 +377,10 @@ def _install_broadcast(blob: bytes) -> None:
     _BROADCAST = pickle.loads(blob)
 
 
-def broadcast_value():
-    """The context broadcast to this process by :func:`map_chunked`."""
-    return _BROADCAST
-
-
 def evaluate_chunk(payload: tuple) -> list:
     """Run ``worker`` over one contiguous chunk (inside a pool worker)."""
     worker, items = payload
-    return [worker(item) for item in items]
+    return [worker(_BROADCAST, item) for item in items]
 
 
 #: Most worker-side spans shipped back per chunk — a cap, not a promise:
@@ -530,14 +401,14 @@ def evaluate_chunk_captured(payload: tuple) -> tuple:
     reuse worker processes, so the session is always closed (try/finally)
     before the next chunk arrives.
 
-    The optional fourth payload element is a serialized
+    The fourth payload element is a serialized
     :class:`~repro.obs.trace.TraceContext` (the request trace of the
-    dispatch), installed for the chunk's duration so worker-side code
-    observes the same distributed trace the parent does.  Purely
-    observational: results are bit-identical with or without it.
+    dispatch) or ``None``; a context is installed for the chunk's duration
+    so worker-side code observes the same distributed trace the parent
+    does.  Purely observational: results are bit-identical with or
+    without it.
     """
-    worker, items, chunk_index = payload[0], payload[1], payload[2]
-    trace_record = payload[3] if len(payload) > 3 else None
+    worker, items, chunk_index, trace_record = payload
     trace = (
         TraceContext.from_dict(trace_record)
         if trace_record is not None
@@ -551,7 +422,7 @@ def evaluate_chunk_captured(payload: tuple) -> tuple:
     try:
         with trace_scope(trace):
             start = time.perf_counter()
-            results = [worker(item) for item in items]
+            results = [worker(_BROADCAST, item) for item in items]
             seconds = time.perf_counter() - start
         snapshot = session.metrics.snapshot()
         spans = [
@@ -592,36 +463,68 @@ def _merge_worker_spans(
         )
 
 
-def dispatch_chunks(pool, worker, items: Sequence, workers: int) -> tuple:
-    """Chunk ``items`` per worker, dispatch on ``pool``, flatten in order.
+def map_chunked(
+    worker, items: Sequence, workers: int, context, span_name: str
+) -> tuple:
+    """Run ``worker(context, item)`` over ``items``; results in item order.
 
-    While the parent holds an obs session or a telemetry bus, chunks run
-    through :func:`evaluate_chunk_captured`: worker-side metric registries
-    merge into the parent session (counters add; gauges last-writer-wins
-    in chunk-index order; histogram bins element-wise; worker spans fold
-    in one depth level down) and a ``progress`` heartbeat plus a
-    ``metrics`` snapshot event are emitted per completed chunk.  The
-    ambient :class:`~repro.obs.trace.TraceContext` (if any) rides to the
-    workers as a plain dict.  With session and bus both disabled the plain
-    payload shape runs — the instrumentation costs nothing.
+    The one dispatcher of every seeded replication and Monte-Carlo chunk.
+    With ``workers == 1`` or at most one item it runs inline: each item
+    under an ``obs`` span named ``span_name`` (attribute ``index``),
+    followed by a ``progress`` event while a telemetry bus is active.
+
+    Otherwise it runs on the warm pool of :func:`get_warm_pool`:
+    ``context`` (any picklable object) is shipped once per worker process
+    through the pool initializer, so a repeated dispatch with an equal
+    context reuses the pool.  ``worker`` must then be module-level
+    (picklable).  Items go out as contiguous chunks, one per worker, and
+    results are flattened in chunk order, so the output order equals the
+    input order for any worker count — the property seeded runs rely on
+    for bit-identical results.  A worker process that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`; the next
+    dispatch with that context gets a fresh pool.
+
+    While the parent holds an obs session or a telemetry bus, pool chunks
+    run through :func:`evaluate_chunk_captured`: worker-side metric
+    registries merge into the parent session (counters add; gauges
+    last-writer-wins in chunk-index order; histogram bins element-wise;
+    worker spans fold in one depth level down) and a ``progress``
+    heartbeat plus a ``metrics`` snapshot event are emitted per completed
+    chunk.  The ambient :class:`~repro.obs.trace.TraceContext` (if any)
+    rides to the workers as a plain dict.  With session and bus both
+    disabled the plain payload shape runs — the instrumentation costs
+    nothing.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     items = list(items)
+    tracker = (
+        telemetry.ProgressTracker(len(items)) if telemetry.enabled() else None
+    )
+    if workers == 1 or len(items) <= 1:
+        collected = []
+        for index, item in enumerate(items):
+            with obs.span(span_name, index=index):
+                collected.append(worker(context, item))
+            if tracker is not None:
+                telemetry.emit("progress", job=index, **tracker.update())
+        return tuple(collected)
+    pool = get_warm_pool(
+        workers,
+        initializer=_install_broadcast,
+        initargs=(pickle.dumps(context),),
+    )
     chunks = split_chunks(items, workers)
     session = obs.active()
-    if session is None and not telemetry.enabled():
-        collected: list = []
+    if session is None and tracker is None:
+        collected = []
         for part in pool.map(
             evaluate_chunk, [(worker, chunk) for chunk in chunks]
         ):
             collected.extend(part)
         return tuple(collected)
-    tracker = (
-        telemetry.ProgressTracker(len(items))
-        if telemetry.enabled()
-        else None
-    )
-    context = current_trace()
-    trace_record = context.to_dict() if context is not None else None
+    trace = current_trace()
+    trace_record = trace.to_dict() if trace is not None else None
     payloads = [
         (worker, chunk, index, trace_record)
         for index, chunk in enumerate(chunks)
@@ -653,23 +556,3 @@ def dispatch_chunks(pool, worker, items: Sequence, workers: int) -> tuple:
                 ),
             )
     return tuple(collected)
-
-
-def map_chunked(worker, items: Sequence, workers: int, context) -> tuple:
-    """Run ``worker`` over ``items`` on a warm pool with ``context`` broadcast.
-
-    ``context`` (any picklable object) is shipped once per worker process
-    through the pool initializer; ``worker`` — a module-level function of a
-    single item — reads it back with :func:`broadcast_value`.  Items are
-    dispatched as contiguous chunks (one per worker) and results flattened
-    in chunk order, so the output order equals the input order for any
-    worker count — the property seeded replications rely on for
-    bit-identical results.  See :func:`dispatch_chunks` for the worker-
-    metrics/telemetry behavior under an active session or bus.
-    """
-    pool = get_warm_pool(
-        workers,
-        initializer=_install_broadcast,
-        initargs=(pickle.dumps(context),),
-    )
-    return dispatch_chunks(pool, worker, items, workers)

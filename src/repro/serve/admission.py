@@ -1,9 +1,10 @@
 """Admission control for the campaign job queue.
 
-Monte-Carlo campaign jobs hold a worker thread and a process-pool lease
-for seconds to minutes, so the service bounds what it accepts *before*
-enqueueing — a saturated queue answers ``429`` immediately instead of
-growing an unbounded backlog:
+Monte-Carlo campaign jobs hold a worker thread (and, with more than one
+worker per job, warm-pool worker processes) for seconds to minutes, so
+the service bounds what it accepts *before* enqueueing — a saturated
+queue answers ``429`` immediately instead of growing an unbounded
+backlog:
 
 * a global cap on queued-plus-running jobs (``max_queue_depth``);
 * a per-tenant cap on in-flight jobs (``max_tenant_inflight``), so one

@@ -182,6 +182,10 @@ class JobQueue:
     ):
         if shards < 1:
             raise ServeError(f"shards must be >= 1, got {shards}")
+        if workers_per_job < 1:
+            raise ServeError(
+                f"workers_per_job must be >= 1, got {workers_per_job}"
+            )
         self.admission = admission or AdmissionController()
         self.shards = int(shards)
         self.workers_per_job = int(workers_per_job)

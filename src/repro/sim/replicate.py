@@ -8,27 +8,20 @@ estimate per signal.  Replication seeds are spawned from the root seed with
 :func:`repro.sim.rng.derive_seeds` (``SeedSequence.spawn``), so replication
 ``i`` is a pure function of ``(root seed, i)`` and the merged results are
 **bit-identical for any worker count** — replications are merely dispatched
-to a :class:`concurrent.futures.ProcessPoolExecutor` and re-assembled in
-index order.
+through :func:`repro.perf.parallel.map_chunked` and re-assembled in index
+order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from repro.controller.spec import ControllerSpec
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.obs import runtime as obs
 from repro.obs import telemetry
 from repro.params.hardware import HardwareParams
-from repro.perf.parallel import (
-    broadcast_value,
-    dispatch_chunks,
-    get_warm_pool,
-    map_chunked,
-)
+from repro.perf.parallel import map_chunked
 from repro.params.software import RestartScenario, SoftwareParams
 from repro.sim.batched import plan_batched, run_batched, validate_batched_mode
 from repro.sim.controller_sim import (
@@ -41,7 +34,7 @@ from repro.sim.measures import ConfidenceInterval, batch_means_interval
 from repro.sim.rng import derive_seeds
 from repro.topology.deployment import DeploymentTopology
 
-__all__ = ["ReplicationSet", "map_jobs", "run_replications"]
+__all__ = ["ReplicationSet", "run_replications"]
 
 _SIGNAL_ATTRS = {
     "cp": "cp",
@@ -102,65 +95,13 @@ class ReplicationSet:
         )
 
 
-def map_jobs(
-    worker,
-    jobs: Sequence,
-    workers: int = 1,
-    executor: Executor | None = None,
-    span_name: str = "sim.replication",
-) -> tuple:
-    """Run ``worker`` over ``jobs`` and return results in index order.
+def _run_replication(context: tuple, seed: int) -> SimulationResult:
+    """One replication (module-level so it pickles into worker processes).
 
-    The shared dispatch core of :func:`run_replications` and the fault
-    campaign runner (:mod:`repro.faults.campaign`): a supplied ``executor``
-    wins, ``workers <= 1`` (or a single job) runs inline with a per-job
-    ``obs`` span, anything else fans out to a **warm** process pool
-    (:func:`repro.perf.parallel.get_warm_pool`) as contiguous per-worker
-    chunks — repeated dispatches reuse live worker processes instead of
-    paying pool start-up per call.  Results are always re-assembled in job
-    order, so the output is independent of scheduling — what keeps seeded
-    runs bit-identical across worker counts.  ``worker`` must be
-    module-level (picklable) for the pool path.
+    ``context`` is ``(spec, topology, hardware, software, scenario,
+    config)``, broadcast once per worker process on the pool path.
     """
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
-    jobs = list(jobs)
-    if executor is not None:
-        return tuple(executor.map(worker, jobs))
-    if workers == 1 or len(jobs) <= 1:
-        tracker = (
-            telemetry.ProgressTracker(len(jobs))
-            if telemetry.enabled()
-            else None
-        )
-        collected = []
-        for index, job in enumerate(jobs):
-            with obs.span(span_name, index=index):
-                collected.append(worker(job))
-            if tracker is not None:
-                telemetry.emit("progress", job=index, **tracker.update())
-        return tuple(collected)
-    pool = get_warm_pool(workers)
-    return dispatch_chunks(pool, worker, jobs, workers)
-
-
-def _run_replication(job: tuple) -> SimulationResult:
-    """One replication (module-level so it pickles into worker processes)."""
-    spec, topology, hardware, software, scenario, config, seed = job
-    return simulate_controller(
-        spec, topology, hardware, software, scenario,
-        replace(config, seed=seed),
-    )
-
-
-def _replication_from_broadcast(seed: int) -> SimulationResult:
-    """One replication whose constant inputs arrive via the pool broadcast.
-
-    The warm-pool path ships ``(spec, topology, hardware, software,
-    scenario, config)`` once per worker process (pool initializer) instead
-    of once per replication; only the seed travels with the job.
-    """
-    spec, topology, hardware, software, scenario, config = broadcast_value()
+    spec, topology, hardware, software, scenario, config = context
     return simulate_controller(
         spec, topology, hardware, software, scenario,
         replace(config, seed=seed),
@@ -176,24 +117,24 @@ def run_replications(
     config: SimulationConfig | None = None,
     replications: int = 4,
     workers: int = 1,
-    executor: Executor | None = None,
     batched: str = "auto",
 ) -> ReplicationSet:
     """Run ``replications`` seeded copies of the controller simulation.
 
     ``config.horizon_hours`` applies to *each* replication; the merged
     estimate therefore observes ``replications * horizon_hours`` of
-    simulated time.  ``workers <= 1`` runs inline; otherwise replications
-    are dispatched to a process pool (or the supplied ``executor``) and
-    merged in index order, so the result is independent of scheduling.
+    simulated time.  ``workers == 1`` runs inline; otherwise replications
+    are dispatched to a warm process pool and merged in index order, so
+    the result is independent of scheduling.  ``workers < 1`` raises
+    :class:`~repro.errors.ParameterError`.
 
     ``batched`` selects the engine: ``"auto"`` (default) routes through the
     struct-of-arrays lockstep kernel (:mod:`repro.sim.batched`) whenever
-    the workload is expressible and no explicit ``executor`` was supplied
-    — results are bit-identical to the scalar engine, so the knob never
-    changes numbers, only speed.  ``"on"`` requires the kernel (raises
-    :class:`~repro.errors.SimulationError` if the workload cannot run on
-    it), ``"off"`` forces the scalar per-replication engine.  The kernel
+    the workload is expressible — results are bit-identical to the scalar
+    engine, so the knob never changes numbers, only speed.  ``"on"``
+    requires the kernel (raises :class:`~repro.errors.SimulationError` if
+    the workload cannot run on it), ``"off"`` forces the scalar
+    per-replication engine.  The kernel
     advances all replications in one process, so ``workers`` is ignored
     while it is engaged.
     """
@@ -202,15 +143,14 @@ def run_replications(
         raise SimulationError(
             f"replications must be >= 1, got {replications}"
         )
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     config = config or SimulationConfig()
     model = None
     if batched != "off":
-        if executor is not None:
-            reason = "an explicit executor was supplied"
-        else:
-            model, reason = plan_batched(
-                spec, topology, hardware, software, scenario, config
-            )
+        model, reason = plan_batched(
+            spec, topology, hardware, software, scenario, config
+        )
         if batched == "on" and model is None:
             raise SimulationError(
                 f"batched='on' but the workload cannot run on the "
@@ -245,22 +185,13 @@ def run_replications(
                     model, list(seeds), config.horizon_hours, config.batches
                 )
             )
-        elif executor is None and workers > 1 and replications > 1:
-            # Warm-pool path: broadcast the constant inputs once per
-            # worker, send one seed per job, chunk jobs per worker.
+        else:
             results = map_chunked(
-                _replication_from_broadcast,
+                _run_replication,
                 list(seeds),
                 workers,
                 (spec, topology, hardware, software, scenario, config),
-            )
-        else:
-            jobs = [
-                (spec, topology, hardware, software, scenario, config, seed)
-                for seed in seeds
-            ]
-            results = map_jobs(
-                _run_replication, jobs, workers=workers, executor=executor
+                "sim.replication",
             )
     obs.count("sim.replications", replications)
     merged = ReplicationSet(results=results, seeds=seeds)

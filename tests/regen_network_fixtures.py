@@ -141,9 +141,9 @@ def campaign_record(result) -> dict:
     }
 
 
-def run_fixture_campaign(workers: int = 1, executor=None):
+def run_fixture_campaign(workers: int = 1):
     """The pinned campaign workload (shared with the determinism tests)."""
-    return run_network_campaign(CAMPAIGN_SPEC, workers=workers, executor=executor)
+    return run_network_campaign(CAMPAIGN_SPEC, workers=workers)
 
 
 def build_fixture() -> dict:

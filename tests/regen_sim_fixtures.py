@@ -101,12 +101,12 @@ def result_record(result) -> dict:
     }
 
 
-def run_fixture_campaign(workers: int = 1, executor=None):
+def run_fixture_campaign(workers: int = 1):
     """The pinned campaign workload (shared with the determinism tests)."""
-    return run_campaign(CAMPAIGN_SPEC, workers=workers, executor=executor)
+    return run_campaign(CAMPAIGN_SPEC, workers=workers)
 
 
-def run_fixture_replications(workers: int = 1, executor=None):
+def run_fixture_replications(workers: int = 1):
     """The pinned replication workload (shared with the determinism tests)."""
     cfg = REPLICATION_CONFIG
     spec = opencontrail_3x()
@@ -140,7 +140,6 @@ def run_fixture_replications(workers: int = 1, executor=None):
         config=config,
         replications=cfg["replications"],
         workers=workers,
-        executor=executor,
     )
 
 

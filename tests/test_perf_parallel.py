@@ -12,10 +12,10 @@ from repro.models.engine import (
     evaluate_topology,
 )
 from repro.models.hw_closed import hw_large, hw_small
-from repro.models.sw import cp_availability, plane_requirements
+from repro.models.sw import plane_requirements
 from repro.controller.spec import Plane
 from repro.params.software import RestartScenario
-from repro.perf import chunk_bounds, memoize_model, monte_carlo_parallel
+from repro.perf import chunk_bounds, monte_carlo_parallel
 from repro.sim.controller_sim import SimulationConfig
 from repro.sim.replicate import run_replications
 from repro.sim.rng import derive_seeds
@@ -171,17 +171,3 @@ class TestEngineCache:
         again = evaluate_topology_cached(small, requirements, availability)
         assert again == direct
         assert engine_cache_info().hits == before + 1
-
-    def test_memoize_model(self, spec, hardware, software):
-        calls = []
-
-        def model(params):
-            calls.append(params)
-            return cp_availability(spec, "small", params, software, S2)
-
-        cached = memoize_model(model)
-        first = cached(hardware)
-        second = cached(hardware)
-        assert first == second
-        assert len(calls) == 1
-        assert cached.cache_info().hits == 1

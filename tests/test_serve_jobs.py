@@ -318,6 +318,15 @@ class TestJobValidation:
         assert response.status == 400
         assert "moebius" in json.loads(response.body)["error"]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_per_job_below_one_rejected(self, workers):
+        """``repro-avail serve --workers 0`` must not start a server whose
+        scalar jobs would each fail at dispatch."""
+        from repro.errors import ServeError
+
+        with pytest.raises(ServeError, match="workers_per_job must be >= 1"):
+            ServeApp(ServeConfig(workers_per_job=workers))
+
 
 class TestJobTelemetry:
     @pytest.mark.slow

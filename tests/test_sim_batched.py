@@ -12,12 +12,11 @@ memory-bounded chunk sizing helper.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import repro.sim.batched as batched_mod
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.faults import CampaignSpec, MaintenanceSpec, run_campaign
 from repro.perf.batching import replication_batch_size
 from repro.sim.batched import (
@@ -130,13 +129,6 @@ class TestFallbackPolicy:
         with pytest.raises(SimulationError, match="batched='on'"):
             run_campaign(spec, batched="on")
 
-    def test_on_raises_with_explicit_executor(self):
-        with ProcessPoolExecutor(max_workers=1) as executor:
-            with pytest.raises(SimulationError, match="executor"):
-                run_campaign(
-                    CAMPAIGN_SPEC, executor=executor, batched="on"
-                )
-
     def test_repair_crews_are_inexpressible(self):
         reason = inexpressible_reason(
             RestartScenario.NOT_REQUIRED, (), repair_crews=2
@@ -178,6 +170,46 @@ class TestReplicationDispatch:
         )
         assert model is None
         assert "scenario 2" in reason
+
+
+def _ring_network_campaign(workers):
+    from repro.network.campaign import (
+        NetworkCampaignSpec,
+        run_network_campaign,
+    )
+    from repro.topology.network_reference import reference_network
+
+    spec = NetworkCampaignSpec(
+        graph=reference_network("ring"), horizon_hours=100.0, replications=2
+    )
+    return run_network_campaign(spec, workers=workers)
+
+
+def _replications(workers):
+    from tests.regen_sim_fixtures import run_fixture_replications
+
+    return run_fixture_replications(workers=workers)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize(
+    "runner",
+    [
+        lambda workers: run_campaign(CAMPAIGN_SPEC, workers=workers),
+        lambda workers: run_campaign(
+            CampaignSpec(option="2S", horizon_hours=100.0, replications=2),
+            workers=workers,
+        ),
+        _ring_network_campaign,
+        _replications,
+    ],
+    ids=["1S-hazard-free", "2S", "ring-network", "replications"],
+)
+def test_runners_reject_workers_below_one(runner, workers):
+    """Every runner checks ``workers`` before it picks an engine, so the
+    lockstep kernel (which ignores ``workers``) does not mask a bad count."""
+    with pytest.raises(ParameterError, match="workers must be >= 1"):
+        runner(workers)
 
 
 def _force_scalar_replications(runner):

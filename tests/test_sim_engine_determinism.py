@@ -10,7 +10,6 @@ equality — no tolerances — against those fixtures:
 
 * inline (workers=1),
 * warm-pool (workers=4), cold and reused-warm,
-* a caller-supplied cold ``ProcessPoolExecutor``,
 * with an observability session tracing the run.
 
 If an engine change is *supposed* to alter the event stream, regenerate
@@ -21,7 +20,6 @@ diff in the commit message.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -91,16 +89,6 @@ class TestPoolWarmth:
         expected = pinned["campaign"]["results"]
         assert _campaign_records(cold) == expected
         assert _campaign_records(warm) == expected
-
-    def test_external_cold_executor_identical(self, pinned):
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            campaign = run_fixture_campaign(executor=executor)
-            replications = run_fixture_replications(executor=executor)
-        assert _campaign_records(campaign) == pinned["campaign"]["results"]
-        assert (
-            _replication_records(replications)
-            == pinned["replications"]["results"]
-        )
 
 
 class TestTracing:

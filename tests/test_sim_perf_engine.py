@@ -7,26 +7,35 @@ straightforward implementation it replaced.  These tests check each claim
 directly: buffered draws against scalar draws, the cache against a fresh
 uncached dependency walk (property-based, over arbitrary transition
 sequences), compacted heaps against uncompacted pop order, and the
-chunked warm-pool dispatch against inline evaluation.
+chunked warm-pool dispatch against inline evaluation.  The warm-pool
+tests also cover the dispatcher's failure paths: a worker process that
+dies, and a pool evicted while a dispatch is still running on it.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError, SimulationError
+from repro.models.hw_closed import hw_large
+from repro.params.defaults import PAPER_HARDWARE
+from repro.perf import parallel
 from repro.perf.parallel import (
     MAX_WARM_POOLS,
-    acquire_warm_pool,
-    broadcast_value,
     get_warm_pool,
     map_chunked,
+    monte_carlo_parallel,
     shutdown_warm_pools,
     split_chunks,
     warm_pool_count,
-    warm_pool_lease_count,
 )
 from repro.sim.engine import AvailabilitySimulator
 from repro.sim.entities import Component, ComponentKind, ComponentState
@@ -320,12 +329,35 @@ class TestSignalDeclarations:
 # -- warm pools and chunked dispatch ------------------------------------------
 
 
-def _identity(item):
+def _identity(context, item):
     return item
 
 
-def _with_broadcast(item):
-    return (item, broadcast_value())
+def _with_context(context, item):
+    return (item, context)
+
+
+def _exit_on_negative(context, item):
+    """Kill the worker process mid-chunk when it reaches a negative item."""
+    if item < 0:
+        os._exit(3)
+    return (context, item)
+
+
+def _wait_for_release(directory, item):
+    """Mark ``item`` as started, then block until the test releases it."""
+    directory = Path(directory)
+    (directory / f"started-{item}").touch()
+    deadline = time.monotonic() + 60.0
+    while not (directory / "release").exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"item {item} was never released")
+        time.sleep(0.01)
+    return item
+
+
+def _live_pools() -> list:
+    return list(parallel._WARM_POOLS.values())
 
 
 @pytest.fixture(autouse=True)
@@ -362,72 +394,72 @@ class TestWarmPools:
 
     def test_map_chunked_preserves_order_and_broadcasts(self):
         items = list(range(11))
-        results = map_chunked(_with_broadcast, items, workers=2, context="ctx")
+        results = map_chunked(_with_context, items, 2, "ctx", "test.item")
         assert [item for item, _ in results] == items
         assert all(context == "ctx" for _, context in results)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_map_chunked_rejects_workers_below_one(self, workers):
+        with pytest.raises(ParameterError, match="workers must be >= 1"):
+            map_chunked(_identity, [1, 2], workers, None, "test.item")
 
-class TestPoolHandles:
-    def test_lease_shares_the_anonymous_pool(self):
-        handle = acquire_warm_pool(2)
+
+class TestPoolFaults:
+    def test_dead_worker_breaks_dispatch_and_next_gets_fresh_pool(self):
+        shutdown_warm_pools()
+        with pytest.raises(BrokenProcessPool):
+            map_chunked(_exit_on_negative, [1, -1, 2, 3], 2, "c", "test.item")
+        (broken,) = _live_pools()
+        count = warm_pool_count()
+        results = map_chunked(
+            _exit_on_negative, [1, 2, 3, 4], 2, "c", "test.item"
+        )
+        assert results == (("c", 1), ("c", 2), ("c", 3), ("c", 4))
+        assert warm_pool_count() == count
+        assert broken not in _live_pools()
+
+    def test_pool_evicted_mid_dispatch_still_returns_every_result(
+        self, tmp_path
+    ):
+        shutdown_warm_pools()
+        items = [0, 1, 2, 3]  # two chunks: [0, 1] and [2, 3]
+        outcome = {}
+
+        def dispatch():
+            outcome["results"] = map_chunked(
+                _wait_for_release, items, 2, str(tmp_path), "test.item"
+            )
+
+        thread = threading.Thread(target=dispatch)
+        thread.start()
         try:
-            assert handle.executor is get_warm_pool(2)
-            assert warm_pool_lease_count() == 1
+            deadline = time.monotonic() + 60.0
+            while not all(
+                (tmp_path / f"started-{item}").exists() for item in (0, 2)
+            ):
+                assert time.monotonic() < deadline, "chunks never started"
+                time.sleep(0.01)
+            (running,) = _live_pools()
+            for context in range(MAX_WARM_POOLS):
+                assert map_chunked(
+                    _with_context, [1, 2], 2, context, "test.item"
+                ) == ((1, context), (2, context))
+            assert running not in _live_pools()
         finally:
-            handle.release()
-        assert warm_pool_lease_count() == 0
+            (tmp_path / "release").touch()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert outcome["results"] == tuple(items)
 
-    def test_release_is_idempotent(self):
-        handle = acquire_warm_pool(2)
-        handle.release()
-        handle.release()
-        assert handle.released
-        assert warm_pool_lease_count() == 0
-
-    def test_released_handle_refuses_access(self):
-        handle = acquire_warm_pool(2)
-        handle.release()
-        with pytest.raises(ParameterError, match="released"):
-            handle.executor
-
-    def test_context_manager_releases(self):
-        with acquire_warm_pool(2) as handle:
-            assert not handle.released
-            assert warm_pool_lease_count() == 1
-        assert handle.released
-        assert warm_pool_lease_count() == 0
-
-    def test_leased_pool_is_pinned_against_eviction(self):
-        handle = acquire_warm_pool(1)
-        try:
-            pinned = handle.executor
-            for workers in range(2, MAX_WARM_POOLS + 4):
-                get_warm_pool(workers)
-            # The LRU trimmed unleased pools, never the leased one.
-            assert warm_pool_count() <= MAX_WARM_POOLS + 1
-            assert handle.executor is pinned
-        finally:
-            handle.release()
-
-    def test_shutdown_survivable_by_lease(self):
-        handle = acquire_warm_pool(2)
-        try:
-            before = handle.executor
-            shutdown_warm_pools()
-            # The registry dropped the pool; the lease re-obtains a fresh,
-            # usable one on next access instead of a shut-down executor.
-            after = handle.executor
-            assert after is not before
-            assert after.submit(_identity, 5).result() == 5
-        finally:
-            handle.release()
-
-    def test_lease_survives_worker_use(self):
-        with acquire_warm_pool(2) as handle:
-            results = [
-                handle.executor.submit(_identity, item) for item in range(5)
-            ]
-            assert [f.result() for f in results] == list(range(5))
+    def test_repeated_monte_carlo_reuses_its_pool(self):
+        shutdown_warm_pools()
+        # Two 1024-sample chunks, so the dispatch leaves the inline path.
+        kwargs = dict(samples=2048, seed=5, workers=2)
+        first = monte_carlo_parallel(hw_large, PAPER_HARDWARE, **kwargs)
+        (pool,) = _live_pools()
+        second = monte_carlo_parallel(hw_large, PAPER_HARDWARE, **kwargs)
+        assert _live_pools() == [pool]
+        assert second.samples == first.samples
 
 
 class TestSplitChunks:
